@@ -5,7 +5,10 @@
 //! root with many sibling subtrees, only one of which carries the tail the
 //! queries ask for. Naive order expands every wildcard candidate and
 //! descends into every dead sibling; the planner's statistics probe kills
-//! the dead expansions before they spawn work items. Both engines must
+//! the dead expansions before they spawn work items. Every document also
+//! ends in a unique key `<z>k{i}</z>`, so a point lookup's rarest element
+//! comes last and the planner's anchor-window pruning skips every frame
+//! whose scope cannot hold it. Both engines must
 //! return bit-identical answers — the planner only reorders and prunes
 //! provably-empty work — so the benchmark gates on equality first, then
 //! reports match work-items and wall-clock (p50/mean) for plan-on vs
@@ -36,14 +39,25 @@ fn doc(i: usize) -> String {
             xml.push_str(&format!("<m{m}><c>miss{}</c></m{m}>", (i + m) % 7));
         }
     }
-    xml.push_str("</r>");
+    xml.push_str(&format!("<z>k{i}</z></r>"));
     xml
 }
 
+/// A point lookup by key: the key value is the anchor, so planned work
+/// stays a handful of frames while naive order walks every record's path.
+const POINT_Q: &str = "/r[z='k17']/m7/c/d";
+
 /// The query mix: wildcard steps over the skewed fan-out. All of them are
 /// answerable from the single live sibling; naive order pays for all 40.
+/// The last is the point lookup.
 fn queries() -> Vec<&'static str> {
-    vec!["/r/*/c/d", "//c/d", "/r/*/c/d[text='hit1']", "/r/*/c[d]"]
+    vec![
+        "/r/*/c/d",
+        "//c/d",
+        "/r/*/c/d[text='hit1']",
+        "/r/*/c[d]",
+        POINT_Q,
+    ]
 }
 
 fn opts(no_plan: bool, limit: Option<usize>) -> QueryOptions {
@@ -105,6 +119,20 @@ fn main() {
         );
     }
 
+    let point_work = |no_plan| {
+        index
+            .query(POINT_Q, &opts(no_plan, None))
+            .expect("point lookup")
+            .stats
+            .work_items
+    };
+    let (point_planned, point_naive) = (point_work(false), point_work(true));
+    assert!(
+        point_planned * 10 <= point_naive,
+        "anchor pruning must cut the point lookup's work at least 10x \
+         (planned {point_planned} vs naive {point_naive})"
+    );
+
     // Warm the pool, then measure.
     let (work_planned, _) = run_pass(&index, false);
     let (work_naive, _) = run_pass(&index, true);
@@ -155,7 +183,8 @@ fn main() {
         ],
     );
     println!(
-        "work-item reduction: {:.2}x; limit-1 on {limit_q}: {limit_work} vs {full_work} work items",
+        "work-item reduction: {:.2}x; limit-1 on {limit_q}: {limit_work} vs {full_work} work items; \
+         point lookup {POINT_Q}: {point_planned} vs {point_naive} work items",
         work_naive as f64 / work_planned.max(1) as f64
     );
 
@@ -180,7 +209,8 @@ fn main() {
                 "  \"work_item_reduction\": {:.3},\n",
                 "  \"planned_p50_ms\": {:.3}, \"naive_p50_ms\": {:.3},\n",
                 "  \"planned_mean_ms\": {:.3}, \"naive_mean_ms\": {:.3},\n",
-                "  \"limit1_work_items\": {}, \"full_work_items\": {}\n",
+                "  \"limit1_work_items\": {}, \"full_work_items\": {},\n",
+                "  \"point_planned_work_items\": {}, \"point_naive_work_items\": {}\n",
                 "}}\n"
             ),
             n,
@@ -196,6 +226,8 @@ fn main() {
             naive_mean.as_secs_f64() * 1e3,
             limit_work,
             full_work,
+            point_planned,
+            point_naive,
         );
         std::fs::write("BENCH_planner.json", &json).expect("write json");
         eprintln!("wrote BENCH_planner.json");

@@ -55,6 +55,20 @@
 //!   of a matched key, the planner probes the (fully determined) D-Ancestor
 //!   keys of wildcarded child elements reachable from that binding by
 //!   concrete steps; any absent key proves the whole subtree dead.
+//! - **Anchor-window pruning** — of the elements strictly rarer (by
+//!   estimated nodes) than some earlier element, the rarest, if below
+//!   `PLAN_PROBE_CAP`, becomes the sequence's *anchor*: the plan stage reads the
+//!   labels of every S-Ancestor node the anchor can match (for a `*`/`//`
+//!   element, the union over every key its static pattern matches) into
+//!   a sorted list. Before the anchor, a frame whose window `(lo, hi)`
+//!   holds no anchor label is dropped, the S-Ancestor scan stops at the
+//!   window's last anchor label, and a child frame is pushed only if its
+//!   scope `(n, n+size)` strictly contains one. This is exact: scopes
+//!   nest (incarnations included, see `grow_and_insert_tail`), so every
+//!   node on the path to a complete match strictly contains the node the
+//!   anchor element matches — only frames that cannot complete are
+//!   removed. It is the tree-path subsequence idea of Bille & Gørtz,
+//!   "Matching Subsequences in Trees", as a filter on Algorithm 2.
 //! - **DocId strategy choice** — the final merged scopes are resolved
 //!   either by one range jump per scope or by a single keyed sweep of the
 //!   covering range, picked from the source's posting total.
@@ -469,6 +483,10 @@ pub struct SeqPlan {
     pub rank: usize,
     /// Set when the sequence was short-circuited and never seeded.
     pub pruned: Option<PruneReason>,
+    /// The anchor as `(step, label count)` when anchor-window pruning is
+    /// on for this sequence (see the module docs). Steps before it report
+    /// `est_nodes` capped at the label count.
+    pub anchor: Option<(usize, u64)>,
     /// Estimated node visits (sum of per-step `est_nodes`).
     pub est_cost: u64,
     /// Per-element rows, in sequence order.
@@ -598,9 +616,9 @@ pub fn search_sequences_opts(
             if qs.elems.is_empty() {
                 pre_scopes.push((0, vist_seq::MAX_SCOPE));
             }
-            let ctx = SeqCtx::build(source, qs, &mut stats)?;
+            let mut ctx = SeqCtx::build(source, qs, &mut stats)?;
             let plan = if opts.plan {
-                plan_sequence(source, &ctx, i, &mut stats)?
+                plan_sequence(source, &mut ctx, i, &mut stats)?
             } else {
                 skeleton_plan(&ctx, i, opts.collect_plan)
             };
@@ -943,25 +961,31 @@ fn run_limited(
 /// are probed against their **static** pattern prefix, which covers every
 /// runtime instantiation (any concrete prefix a frame can build from its
 /// parent bindings matches the pattern), so an empty probe proves the
-/// sequence dead.
+/// sequence dead. A live sequence may also get an anchor (see
+/// [`pick_anchor`]), whose labels are stored on `ctx`.
 fn plan_sequence(
     source: &dyn SearchSource,
-    ctx: &SeqCtx<'_>,
+    ctx: &mut SeqCtx<'_>,
     index: usize,
     stats: &mut QueryStats,
 ) -> Result<SeqPlan> {
-    let mut steps: Vec<StepPlan> = Vec::with_capacity(ctx.seq.elems.len());
+    let n = ctx.seq.elems.len();
+    let mut steps: Vec<StepPlan> = Vec::with_capacity(n);
+    // The D-Ancestor ids behind each step's estimate (empty when a capped
+    // probe left them incomplete): the keys an anchor's labels come from.
+    let mut step_ids: Vec<Vec<u64>> = Vec::with_capacity(n);
     let mut pruned: Option<PruneReason> = None;
-    let mut est_cost = 0u64;
     for (qi, qe) in ctx.seq.elems.iter().enumerate() {
         let mut sp = StepPlan {
             qi,
             ..StepPlan::default()
         };
+        let mut ids = Vec::new();
         match &ctx.concrete[qi] {
             Some(Some((_, dkid))) => {
                 sp.est_candidates = 1;
                 sp.est_nodes = est_nodes(source, *dkid);
+                ids.push(*dkid);
             }
             Some(None) => {
                 if pruned.is_none() {
@@ -976,10 +1000,10 @@ fn plan_sequence(
                         if let Some(id) = source.dkey_get(&key)? {
                             sp.est_candidates = 1;
                             sp.est_nodes = est_nodes(source, id);
+                            ids.push(id);
                         }
                     }
                     dkey::DKeyQuery::Range { lo, hi, pattern } => {
-                        let mut cands = 0u64;
                         let mut nodes = 0u64;
                         let mut scanned = 0u64;
                         source.dkey_scan_range(&lo, &hi, &mut |key, id| {
@@ -989,18 +1013,19 @@ fn plan_sequence(
                             }
                             let (_, prefix_syms) = dkey::decode(key);
                             if pattern.matches(&prefix_syms) {
-                                cands += 1;
+                                ids.push(id);
                                 nodes = nodes.saturating_add(est_nodes(source, id));
                             }
                         })?;
+                        sp.est_candidates = ids.len() as u64;
+                        sp.est_nodes = nodes;
                         if scanned > PLAN_PROBE_CAP {
                             // Capped probe: treat the estimate as a floor
-                            // and never prune on it.
-                            cands = cands.max(1);
-                            nodes = nodes.max(scanned);
+                            // and never prune (or anchor) on it.
+                            sp.est_candidates = sp.est_candidates.max(1);
+                            sp.est_nodes = nodes.max(scanned);
+                            ids.clear();
                         }
-                        sp.est_candidates = cands;
-                        sp.est_nodes = nodes;
                     }
                 }
                 if sp.est_candidates == 0 && pruned.is_none() {
@@ -1008,19 +1033,66 @@ fn plan_sequence(
                 }
             }
         }
-        est_cost = est_cost.saturating_add(sp.est_nodes);
         steps.push(sp);
+        step_ids.push(ids);
     }
+    let mut anchor = None;
     if pruned.is_some() {
         stats.planner_seqs_pruned += 1;
+    } else if let Some(a) = pick_anchor(source, &steps) {
+        // Fetch the anchor's labels once, under the latch the match
+        // already holds. The scans are real S-Ancestor reads, so they
+        // count as such.
+        let mut labels: Vec<u128> = Vec::new();
+        for &id in &step_ids[a] {
+            stats.sancestor_scans += 1;
+            source.nodes_in_scope(id, 0, vist_seq::MAX_SCOPE, &mut |node| labels.push(node.n))?;
+        }
+        labels.sort_unstable();
+        labels.dedup();
+        let count = labels.len() as u64;
+        // Every frame before the anchor must contain one of its labels,
+        // so no earlier step can usefully expand more than that many.
+        for sp in &mut steps[..a] {
+            sp.est_nodes = sp.est_nodes.min(count);
+        }
+        ctx.anchor = Some(Anchor { qi: a, labels });
+        anchor = Some((a, count));
     }
+    let est_cost = steps
+        .iter()
+        .fold(0u64, |acc, sp| acc.saturating_add(sp.est_nodes));
     Ok(SeqPlan {
         index,
         rank: usize::MAX,
         pruned,
+        anchor,
         est_cost,
         steps,
     })
+}
+
+/// The anchor step for a live sequence: among the elements strictly rarer
+/// than some earlier element, the one with the fewest estimated nodes (the
+/// latest on ties, so the most steps sit before it), provided that
+/// estimate is below [`PLAN_PROBE_CAP`]. The global minimum would not do:
+/// a sequence usually starts at one shared root node, which has nothing
+/// before it to prune. A source that keeps no statistics (RIST's store)
+/// estimates every key at one node, so it never anchors.
+fn pick_anchor(source: &dyn SearchSource, steps: &[StepPlan]) -> Option<usize> {
+    if source.totals().is_none_or(|t| t.nodes == 0) {
+        return None;
+    }
+    let mut best: Option<(u64, usize)> = None;
+    let mut earlier_max = 0u64;
+    for (qi, sp) in steps.iter().enumerate() {
+        let est = sp.est_nodes;
+        if est < earlier_max && est < PLAN_PROBE_CAP && best.is_none_or(|(b, _)| est <= b) {
+            best = Some((est, qi));
+        }
+        earlier_max = earlier_max.max(est);
+    }
+    best.map(|(_, qi)| qi)
 }
 
 /// The no-planning stand-in for [`plan_sequence`]: no probes, no pruning,
@@ -1045,6 +1117,7 @@ fn skeleton_plan(ctx: &SeqCtx<'_>, index: usize, with_steps: bool) -> SeqPlan {
         index,
         rank: index,
         pruned: None,
+        anchor: None,
         est_cost: 0,
         steps,
     }
@@ -1150,6 +1223,23 @@ struct SeqCtx<'a> {
     /// some prefix carries a wildcard: concrete-only sequences cannot reach
     /// one sub-problem twice.
     dedup: bool,
+    /// Anchor-window pruning state, set by the plan stage.
+    anchor: Option<Anchor>,
+}
+
+/// A sequence's anchor in one source: its element position and the
+/// sorted, distinct labels of every S-Ancestor node it can match there.
+struct Anchor {
+    qi: usize,
+    labels: Vec<u128>,
+}
+
+impl Anchor {
+    /// The last anchor label strictly inside `(lo, hi)`, if any.
+    fn last_inside(&self, lo: u128, hi: u128) -> Option<u128> {
+        let i = self.labels.partition_point(|&l| l < hi);
+        i.checked_sub(1).map(|i| self.labels[i]).filter(|&l| l > lo)
+    }
 }
 
 impl<'a> SeqCtx<'a> {
@@ -1214,6 +1304,7 @@ impl<'a> SeqCtx<'a> {
             sig,
             probe_children,
             dedup,
+            anchor: None,
         })
     }
 }
@@ -1368,6 +1459,17 @@ fn descend(
     out.stats.dkeys_matched += 1;
     let qi = frame.qi;
     let qe = &sc.seq.elems[qi as usize];
+    // Anchor-window pruning (see the module docs): before the anchor, a
+    // node can lead to a complete match only if its scope strictly
+    // contains an anchor label, so the scan stops at the window's last one.
+    let anchor = sc.anchor.as_ref().filter(|a| (qi as usize) < a.qi);
+    let scan_hi = match anchor {
+        None => frame.hi,
+        Some(a) => match a.last_inside(frame.lo, frame.hi) {
+            Some(l) => l,
+            None => return Ok(()),
+        },
+    };
     let sig = sc
         .dedup
         .then(|| bind_sig(&sc.sig[qi as usize], &frame.binds));
@@ -1434,10 +1536,13 @@ fn descend(
     let steps = &mut out.steps;
     let seq = frame.seq;
     let _span = vist_obs::Span::enter("sancestor_scan");
-    source.nodes_in_scope(dkid, frame.lo, frame.hi, &mut |node| {
+    source.nodes_in_scope(dkid, frame.lo, scan_hi, &mut |node| {
         stats.nodes_visited += 1;
         if track {
             steps.entry((seq, qi)).or_insert((0, 0)).1 += 1;
+        }
+        if anchor.is_some_and(|a| a.last_inside(node.n, node.end()).is_none()) {
+            return;
         }
         if let Some(s) = &sig {
             if !visited.insert((seq, qi + 1, dkid, node.n, s.clone())) {

@@ -26,8 +26,10 @@ pub struct IndexStats {
     pub dkeys: u64,
     /// Within-parent scope underflows (sound tight allocations).
     pub underflows: u64,
-    /// Underflows that borrowed from a non-parent ancestor (the paper's
-    /// lossy case — affected chains may be missed by scope-range queries).
+    /// Underflows that borrowed from a non-parent ancestor. The paper's
+    /// borrow is lossy there; this index nests the borrowed block into one
+    /// incarnation per intermediate level, so S-Ancestor containment holds
+    /// by construction and scope-range queries miss nothing.
     pub deep_borrows: u64,
     /// Match frames expanded by the work-list engine, across all queries.
     pub match_work_items: u64,

@@ -74,9 +74,10 @@ pub struct Meta {
     pub store_documents: bool,
     /// Count of scope underflows resolved within the parent scope (sound).
     pub underflows: u64,
-    /// Count of underflows that had to borrow from a non-parent ancestor —
-    /// these can break S-Ancestor containment for the borrowed chain, the
-    /// paper-faithful lossy case.
+    /// Count of underflows that had to borrow from a non-parent ancestor.
+    /// Each is resolved with node incarnations (see
+    /// `VistIndex::grow_and_insert_tail`), so S-Ancestor containment still
+    /// holds for the borrowed chain.
     pub deep_borrows: u64,
     /// Number of live documents.
     pub doc_count: u64,

@@ -31,8 +31,8 @@ use crate::error::{Error, Result};
 use crate::extsort::DEFAULT_SORT_BUDGET;
 use crate::ingest::IngestCache;
 use crate::search::{
-    search_sequences_opts, DocIdStrategy, PruneReason, QueryStats, SearchMode, SearchOptions,
-    StageTimings,
+    search_sequences_opts, DocIdStrategy, PlanReport, PruneReason, QueryStats, SearchMode,
+    SearchOptions, StageTimings,
 };
 use crate::segment::{Segment, SegmentBuilder};
 use crate::stats::{IndexStats, IngestCounters, MatchCounters};
@@ -1197,7 +1197,10 @@ impl VistIndex {
         self.write_state(donor_loc, &donor_state)?;
 
         // One incarnation per level between the donor and the exhausted
-        // parent, nested like a chain.
+        // parent, nested like a chain. Each incarnation and tail node is
+        // filled entirely by the chain below it, so its allocation cursor
+        // starts at the end of the block: a later child allocated from
+        // it would otherwise reuse the label of the node just below.
         let mut off = 0u128;
         #[allow(clippy::needless_range_loop)] // chain[lvl] is both read and written
         for lvl in donor + 1..chain.len() {
@@ -1207,12 +1210,19 @@ impl VistIndex {
             let inc = NodeState {
                 n: block + off,
                 size: needed - off,
-                next: block + off + 1,
+                next: block + needed,
                 k: 0,
             };
             self.store.node_put(dkid, &inc)?;
-            self.store
-                .edge_put(chain[lvl].state.n, OVERFLOW_EDGE, inc.n)?;
+            // Splice the incarnation in right after this level's node: the
+            // node may already have incarnations (`chain` holds the state
+            // `find_child` resolved, usually the head), and overwriting
+            // its overflow edge would orphan them from `find_child`.
+            let node_n = chain[lvl].state.n;
+            if let Some(next) = self.store.edge_get(node_n, OVERFLOW_EDGE)? {
+                self.store.edge_put(inc.n, OVERFLOW_EDGE, next)?;
+            }
+            self.store.edge_put(node_n, OVERFLOW_EDGE, inc.n)?;
             // Incarnations are extra S-Ancestor entries under the same
             // dkey (not counted by meta.node_count, which tracks virtual
             // trie nodes).
@@ -1239,7 +1249,7 @@ impl VistIndex {
             let state = NodeState {
                 n: block + off,
                 size: needed - off,
-                next: block + off + 1,
+                next: block + needed,
                 k: 0,
             };
             self.store.node_put(dkid, &state)?;
@@ -1552,18 +1562,15 @@ impl VistIndex {
         Ok(out)
     }
 
-    /// Append the planner's per-tier report to an `explain` rendering:
-    /// one search per source with plan collection on, showing sequence
-    /// ranks/prunes, per-step estimated vs actual cardinalities, and the
-    /// chosen DocId strategy.
-    fn render_plan(
+    /// The planner's report for `pattern`, one entry per source in search
+    /// order (`"delta"`, then `"segment <id>"`): sequence ranks, prunes and
+    /// anchors, per-step estimated vs actual cardinalities, and the DocId
+    /// strategy. Runs the search once per source with plan collection on.
+    pub fn plan_reports(
         &self,
         pattern: &Pattern,
         opts: &QueryOptions,
-        elem_labels: &[Vec<String>],
-        out: &mut String,
-    ) -> Result<()> {
-        use std::fmt::Write as _;
+    ) -> Result<Vec<(String, PlanReport)>> {
         let translation = self.translate_overlay(pattern, opts);
         let popts = SearchOptions {
             workers: opts.workers,
@@ -1576,15 +1583,27 @@ impl VistIndex {
             trace_id: opts.trace_id,
         };
         let _m = self.maintenance.read();
-        let mut sources = Vec::new();
+        let mut reports = Vec::new();
         let delta = search_sequences_opts(&self.store, &translation.sequences, &popts)?;
-        sources.push(("delta".to_string(), delta.plan));
+        reports.extend(delta.plan.map(|p| ("delta".to_string(), p)));
         for seg in self.segments_snapshot() {
             let o = search_sequences_opts(seg.as_ref(), &translation.sequences, &popts)?;
-            sources.push((format!("segment {}", seg.id), o.plan));
+            reports.extend(o.plan.map(|p| (format!("segment {}", seg.id), p)));
         }
-        for (name, plan) in sources {
-            let Some(plan) = plan else { continue };
+        Ok(reports)
+    }
+
+    /// Append [`VistIndex::plan_reports`] to an `explain` rendering, one
+    /// block per source.
+    fn render_plan(
+        &self,
+        pattern: &Pattern,
+        opts: &QueryOptions,
+        elem_labels: &[Vec<String>],
+        out: &mut String,
+    ) -> Result<()> {
+        use std::fmt::Write as _;
+        for (name, plan) in self.plan_reports(pattern, opts)? {
             writeln!(
                 out,
                 "plan ({name}){}:",
@@ -1616,12 +1635,23 @@ impl VistIndex {
                             sp.index, sp.rank, sp.est_cost
                         )
                         .unwrap();
-                        for st in &sp.steps {
-                            let label = elem_labels
+                        let label = |qi: usize| {
+                            elem_labels
                                 .get(sp.index)
-                                .and_then(|l| l.get(st.qi))
-                                .map(String::as_str)
-                                .unwrap_or("?");
+                                .and_then(|l| l.get(qi))
+                                .map_or("?", String::as_str)
+                        };
+                        if let Some((qi, labels)) = sp.anchor {
+                            writeln!(
+                                out,
+                                "    anchor: step {qi} {} ({labels} label(s)); \
+                                 earlier steps capped at {labels}",
+                                label(qi)
+                            )
+                            .unwrap();
+                        }
+                        for st in &sp.steps {
+                            let label = label(st.qi);
                             writeln!(
                                 out,
                                 "    step {:<2} {:<24} est {} cand / {} nodes, \
@@ -1676,13 +1706,16 @@ impl VistIndex {
         let trace = vist_obs::Trace::begin("query");
         let total_start = vist_obs::now();
         let parse_span = vist_obs::Span::enter("parse");
+        let parse_start = vist_obs::now();
         let pattern = parse_query(expr)?.to_pattern();
+        let parse_nanos = vist_obs::elapsed_nanos(parse_start).unwrap_or(0);
         drop(parse_span);
         let effective = QueryOptions {
             trace_id,
             ..opts.clone()
         };
         let mut result = self.query_pattern(&pattern, &effective)?;
+        result.timings.translate_nanos += parse_nanos;
         drop(attr_guard);
         result.stats.set_io(&attr_ctx.snapshot());
         if let Some(total) = vist_obs::elapsed_nanos(total_start) {
@@ -1828,8 +1861,11 @@ impl VistIndex {
         if !segments.is_empty() {
             // Each segment is its own label space: run the match per
             // source and union document ids, masking tombstoned segment
-            // docs. Delta docs are never tombstoned.
+            // docs. Delta docs are never tombstoned. Reading the
+            // tombstones is part of resolving document ids.
+            let t = vist_obs::now();
             let tombs: BTreeSet<DocId> = self.store.tomb_ids()?.into_iter().collect();
+            outcome.timings.docid_nanos += vist_obs::elapsed_nanos(t).unwrap_or(0);
             for seg in &segments {
                 if raw_limit.is_some_and(|k| outcome.docs.len() >= k) {
                     break;
@@ -1842,6 +1878,7 @@ impl VistIndex {
                 };
                 let o = search_sequences_opts(seg.as_ref(), &translation.sequences, &seg_opts)?;
                 outcome.stats.merge(&o.stats);
+                outcome.timings.plan_nanos += o.timings.plan_nanos;
                 outcome.timings.match_nanos += o.timings.match_nanos;
                 outcome.timings.merge_nanos += o.timings.merge_nanos;
                 outcome.timings.docid_nanos += o.timings.docid_nanos;

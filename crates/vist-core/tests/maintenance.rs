@@ -197,3 +197,63 @@ fn explain_shows_translation_and_probes() {
         .unwrap();
     assert!(out.contains("2 alternative sequence(s)"), "{out}");
 }
+
+#[test]
+fn remove_finds_documents_after_repeated_deep_borrows() {
+    // A huge fixed λ exhausts scopes within a few levels, so a hot node
+    // borrows from an ancestor again and again: each borrow adds one more
+    // incarnation of the same node. Every document must stay reachable
+    // through the incarnation chain, so every one can be removed.
+    let idx = VistIndex::in_memory(IndexOptions {
+        lambda: 65536,
+        adaptive: false,
+        ..Default::default()
+    })
+    .unwrap();
+    let mut ids = Vec::new();
+    for i in 0..100 {
+        let items: String = (0..2 + i % 4)
+            .map(|j| format!("<item><v>x{}</v><n>{}</n></item>", (i * 7 + j) % 3, j % 2))
+            .collect();
+        ids.push(
+            idx.insert_xml(&format!("<rec><key>k{i}</key>{items}</rec>"))
+                .unwrap(),
+        );
+    }
+    assert!(idx.stats().deep_borrows > 1, "{:?}", idx.stats());
+    for (n, id) in ids.iter().enumerate() {
+        idx.remove_document(*id).unwrap();
+        let left = idx.query("/rec/key", &QueryOptions::default()).unwrap();
+        assert_eq!(left.doc_ids, ids[n + 1..], "after removing {id}");
+    }
+}
+
+#[test]
+fn plan_report_caps_estimates_before_the_anchor() {
+    let idx = VistIndex::in_memory(IndexOptions::default()).unwrap();
+    for i in 0..40 {
+        idx.insert_xml(&format!(
+            "<rec><key>k{i}</key><author>a{}</author></rec>",
+            i % 3
+        ))
+        .unwrap();
+    }
+    let q = "/rec[key='k7']/author";
+    let pattern = vist_query::parse_query(q).unwrap().to_pattern();
+    let reports = idx
+        .plan_reports(&pattern, &QueryOptions::default())
+        .unwrap();
+    let seq = &reports[0].1.seqs[0];
+    // (rec)(author,rec)(key,rec)(k7,rec/key) in lexicographic sibling
+    // order: the key value, one node, is the anchor. `(key,rec)` has one
+    // node per author value, but reports the anchor's one label.
+    assert_eq!(seq.anchor, Some((3, 1)), "{seq:?}");
+    assert!(
+        seq.steps[..3].iter().all(|s| s.est_nodes <= 1),
+        "capped estimates: {seq:?}"
+    );
+    assert_eq!(
+        seq.est_cost,
+        seq.steps.iter().map(|s| s.est_nodes).sum::<u64>()
+    );
+}

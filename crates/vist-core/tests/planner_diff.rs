@@ -121,6 +121,7 @@ fn empty_prefix_queries() -> Vec<String> {
 fn build_indexes(
     case: u64,
     docs: &[Document],
+    opts: &IndexOptions,
 ) -> (
     NaiveIndex,
     VistIndex,
@@ -128,13 +129,13 @@ fn build_indexes(
     vist_storage::testutil::TempDir,
 ) {
     let mut naive = NaiveIndex::default();
-    let delta_only = VistIndex::in_memory(IndexOptions::default()).unwrap();
+    let delta_only = VistIndex::in_memory(opts.clone()).unwrap();
     for d in docs {
         naive.insert_document(d);
         delta_only.insert_document(d).unwrap();
     }
     let dir = vist_storage::testutil::TempDir::new(&format!("planner-diff-{case}"));
-    let tiered = VistIndex::create_file(dir.file("store"), IndexOptions::default()).unwrap();
+    let tiered = VistIndex::create_file(dir.file("store"), opts.clone()).unwrap();
     let split = docs.len() / 2;
     if split > 0 {
         let xml: Vec<String> = docs[..split].iter().map(|d| d.to_xml()).collect();
@@ -147,11 +148,24 @@ fn build_indexes(
 }
 
 fn check_query(naive: &mut NaiveIndex, vist: &VistIndex, label: &str, q: &str) {
+    check_query_live(naive, vist, label, q, &BTreeSet::new());
+}
+
+/// [`check_query`] on an index whose documents `removed` were deleted
+/// after insertion (the oracle keeps them, so its answer is filtered).
+fn check_query_live(
+    naive: &mut NaiveIndex,
+    vist: &VistIndex,
+    label: &str,
+    q: &str,
+    removed: &BTreeSet<u64>,
+) {
     let Ok(parsed) = vist_query::parse_query(q) else {
         return; // a random branch query can be syntactically degenerate
     };
     let pattern = parsed.to_pattern();
-    let oracle = naive.query(q, &QueryOptions::default()).unwrap();
+    let mut oracle = naive.query(q, &QueryOptions::default()).unwrap();
+    oracle.retain(|id| !removed.contains(id));
 
     let unplanned_opts = QueryOptions {
         no_plan: true,
@@ -250,7 +264,8 @@ fn planner_never_changes_answers() {
             queries.extend(empty_prefix_queries());
         }
 
-        let (mut naive, delta_only, tiered, _dir) = build_indexes(case, &docs);
+        let (mut naive, delta_only, tiered, _dir) =
+            build_indexes(case, &docs, &IndexOptions::default());
         for q in &queries {
             check_query(&mut naive, &delta_only, "delta", q);
             check_query(&mut naive, &tiered, "tiered", q);
@@ -343,5 +358,121 @@ fn planner_prunes_wildcard_expansions() {
         "planner must cut work items at least 2x: planned {} vs naive {}",
         planned.stats.work_items,
         unplanned.stats.work_items
+    );
+}
+
+/// One record of the anchor corpus. Every record carries a unique key
+/// value `k{i}`. The rare values `r{i/6}` are shared by four records (two
+/// of each shape below), so an anchor usually has several labels, and sit
+/// under repeated same-tag siblings (`item`, sometimes twice in one
+/// record) or under a chain of nested same-tag ancestors (`sec`).
+fn anchor_record(i: usize, rng: &mut Rng) -> String {
+    let rare = format!("r{}", i / 6);
+    let mut xml = format!("<rec><key>k{i}</key><author>a{}</author>", i % 5);
+    match i % 3 {
+        0 => {
+            let n = 2 + rng.below(4);
+            let hit = rng.below(n);
+            for j in 0..n {
+                let v = if j == hit || (n > 3 && j == (hit + 2) % n) {
+                    rare.clone()
+                } else {
+                    format!("x{}", rng.below(3))
+                };
+                xml.push_str(&format!("<item><v>{v}</v><n>{}</n></item>", j % 2));
+            }
+        }
+        1 => {
+            let depth = 1 + rng.below(4);
+            xml.push_str(&"<sec>".repeat(depth));
+            xml.push_str(&format!("<p>{rare}</p><p>x{}</p>", rng.below(3)));
+            xml.push_str(&"</sec>".repeat(depth));
+        }
+        _ => xml.push_str(&format!("<title>t{}</title>", i % 7)),
+    }
+    xml.push_str("</rec>");
+    xml
+}
+
+/// Selective queries whose rarest element sits after commoner ones:
+/// concrete, `*` and `//` steps before the rare value, branches after it.
+fn anchor_queries(rng: &mut Rng, n_docs: usize) -> Vec<String> {
+    let mut qs = Vec::new();
+    for _ in 0..3 {
+        let i = rng.below(n_docs);
+        // A key value: exactly one record.
+        qs.push(format!("/rec[key='k{i}']/author"));
+        qs.push(format!("/*[key='k{i}']/title"));
+        qs.push(format!("//rec[key='k{i}'][author='a{}']", i % 5));
+        // Rare values under repeated siblings.
+        let r = rng.below(n_docs / 6);
+        qs.push(format!("/rec/item/v[text='r{r}']"));
+        qs.push(format!("//item[v='r{r}']/n"));
+        qs.push(format!("/rec/*[v='r{r}'][n='1']"));
+        qs.push(format!("/rec[item/v='r{r}']/author"));
+        // Rare values under nested same-tag ancestors.
+        let r = rng.below(n_docs / 6);
+        qs.push(format!("/rec//sec/p[text='r{r}']"));
+        qs.push(format!("//sec//sec[p='r{r}']"));
+        qs.push(format!("/rec/sec[p='r{r}']"));
+        qs.push(format!("/*//p[text='r{r}']"));
+        qs.push(format!("//*[text='r{r}']"));
+    }
+    qs
+}
+
+#[test]
+fn anchor_pruning_never_changes_answers() {
+    // A huge fixed λ shrinks every scope 2^16-fold per level, so deep
+    // chains underflow and borrow from ancestors: the match runs through
+    // node incarnations, whose containment anchor pruning relies on.
+    let opts = IndexOptions {
+        lambda: 65536,
+        adaptive: false,
+        ..Default::default()
+    };
+    let (mut checked, mut anchored) = (0usize, 0usize);
+    for case in 0..3u64 {
+        let mut rng = Rng(0xA4C0_0001 ^ (case << 13));
+        let n_docs = 90 + rng.below(30);
+        let docs: Vec<Document> = (0..n_docs)
+            .map(|i| vist_xml::parse(&anchor_record(i, &mut rng)).unwrap())
+            .collect();
+        let (mut naive, delta_only, tiered, _dir) = build_indexes(100 + case, &docs, &opts);
+        let stats = delta_only.stats();
+        assert!(stats.underflows > 0, "expected underflows: {stats:?}");
+        assert!(stats.deep_borrows > 0, "expected incarnations: {stats:?}");
+        let queries = anchor_queries(&mut rng, n_docs);
+        // Remove a slice of records, some of them query targets, from
+        // both indexes (segment-resident ones become tombstones).
+        let mut removed = BTreeSet::new();
+        for i in (case as usize..n_docs).step_by(7) {
+            removed.insert(i as u64);
+        }
+        for &id in &removed {
+            delta_only.remove_document(id).unwrap();
+            tiered.remove_document(id).unwrap();
+        }
+        for q in &queries {
+            for (label, vist) in [("anchor-delta", &delta_only), ("anchor-tiered", &tiered)] {
+                check_query_live(&mut naive, vist, label, q, &removed);
+                let pattern = vist_query::parse_query(q).unwrap().to_pattern();
+                let reports = vist
+                    .plan_reports(&pattern, &QueryOptions::default())
+                    .unwrap();
+                checked += 1;
+                if reports
+                    .iter()
+                    .any(|(_, r)| r.seqs.iter().any(|s| s.anchor.is_some()))
+                {
+                    anchored += 1;
+                }
+            }
+        }
+    }
+    // The suite covers anchor pruning only if anchors are actually chosen.
+    assert!(
+        anchored * 4 >= checked * 3,
+        "anchors chosen in only {anchored} of {checked} query runs"
     );
 }

@@ -2,7 +2,14 @@
 //! the query's reported wall time — child stage durations sum to the
 //! root total within the untimed-bookkeeping residue.
 
+use std::sync::Mutex;
+
 use vist_core::{IndexOptions, QueryOptions, VistIndex};
+
+/// Tracing is a process-wide toggle and the test harness runs tests on
+/// parallel threads: both tests hold this lock so one test's toggle
+/// cannot leak into the other's query.
+static TRACING: Mutex<()> = Mutex::new(());
 
 fn build_index() -> VistIndex {
     let idx = VistIndex::in_memory(IndexOptions::default()).unwrap();
@@ -19,6 +26,7 @@ fn build_index() -> VistIndex {
 
 #[test]
 fn span_tree_durations_sum_to_total() {
+    let _serial = TRACING.lock().unwrap_or_else(|e| e.into_inner());
     let idx = build_index();
     vist_obs::set_tracing(true);
     let r = idx
@@ -60,6 +68,7 @@ fn span_tree_durations_sum_to_total() {
 
 #[test]
 fn no_trace_when_disabled() {
+    let _serial = TRACING.lock().unwrap_or_else(|e| e.into_inner());
     let idx = build_index();
     let r = idx.query("//name", &QueryOptions::default()).unwrap();
     assert!(r.trace.is_none());

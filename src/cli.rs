@@ -2105,6 +2105,38 @@ mod tests {
     }
 
     #[test]
+    fn explain_plan_shows_the_anchor() {
+        let (_tmp, index) = obs_fixture("cli-explain-plan");
+        let explain = |plan: bool, no_plan: bool| {
+            run(Command::Explain {
+                index: index.clone(),
+                expr: "/site/people/person/name[text='ann']".into(),
+                workers: 1,
+                plan,
+                no_plan,
+            })
+            .unwrap()
+        };
+        // Two `person` and `name` nodes, one `ann`: the value anchors the
+        // sequence, and the steps before it are capped at its label count.
+        let out = explain(true, false);
+        assert!(out.contains("plan (delta):"), "{out}");
+        assert!(
+            out.contains("anchor: step 4 (v")
+                && out.contains("(1 label(s)); earlier steps capped at 1"),
+            "{out}"
+        );
+        assert!(out.contains("answers: 1 document(s)"), "{out}");
+        // The planner off picks no anchor and answers the same.
+        let out = explain(true, true);
+        assert!(out.contains("[planner off: naive order]"), "{out}");
+        assert!(!out.contains("anchor:"), "{out}");
+        assert!(out.contains("answers: 1 document(s)"), "{out}");
+        // Without --plan there is no plan report at all.
+        assert!(!explain(false, false).contains("anchor:"));
+    }
+
+    #[test]
     fn stats_machine_formats_expose_all_layers() {
         let (_tmp, index) = obs_fixture("cli-stats-fmt");
         // Run one query so the query-path metrics have moved.
